@@ -56,6 +56,11 @@ pub fn fair_fill_unweighted_into(jobs: &[&JobState], budget: usize, actions: &mu
 /// the caller-owned [`FairFillScratch`] and is reused across decisions.
 /// Produces bit-identical actions to [`fair_fill_into`] /
 /// [`fair_fill_unweighted_into`] over `state.alive_jobs()`.
+///
+/// Returns at once when nothing is launchable: the fill's heap holds exactly
+/// the jobs with a launchable task, so it would be empty. The check is `O(1)`
+/// on engine-built snapshots; it also skips the per-job slot table when the
+/// only unscheduled tasks are reduces still gated on their Map phase.
 pub fn fair_fill_alive_into(
     state: &ClusterState<'_>,
     budget: usize,
@@ -63,6 +68,9 @@ pub fn fair_fill_alive_into(
     scratch: &mut FairFillScratch,
     actions: &mut Vec<Action>,
 ) {
+    if state.total_launchable_tasks() == 0 {
+        return;
+    }
     fill_with(
         scratch,
         state.num_alive_jobs(),
@@ -249,11 +257,6 @@ impl Scheduler for FairScheduler {
     }
 
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
-        // O(1) early-out on the engine aggregate: no unscheduled task means
-        // the fill cannot launch anything, so skip the alive-set collection.
-        if state.available_machines() == 0 || state.total_unscheduled_tasks() == 0 {
-            return;
-        }
         fair_fill_alive_into(
             state,
             state.available_machines(),

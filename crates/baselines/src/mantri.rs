@@ -1,4 +1,4 @@
-//! Microsoft Mantri's resource-aware speculative execution ([4] in the
+//! Microsoft Mantri's resource-aware speculative execution (\[4\] in the
 //! paper).
 //!
 //! Mantri monitors the progress of every running task, estimates its
@@ -18,7 +18,7 @@
 //!   the job's completed tasks, falling back to the phase mean from the job's
 //!   statistics when nothing has completed yet,
 //! * `δ` is folded into a configurable slack factor on the `2×` threshold,
-//! * at most one backup copy per task ([4] caps outstanding duplicates), and
+//! * at most one backup copy per task (\[4\] caps outstanding duplicates), and
 //!   backups are only launched when machines are idle (resource awareness).
 //!
 //! Job-level allocation (which job's tasks get free machines first) uses the
@@ -216,13 +216,9 @@ impl Scheduler for Mantri {
         // 1. Regular work first (Mantri only uses *spare* machines for
         //    duplicates): equal-share fair scheduling across alive jobs —
         //    Mantri sits on the cluster's stock job scheduler, which knows
-        //    nothing about the trace's priority weights. The fill is skipped
-        //    via the O(1) aggregate when nothing is launchable (it could not
-        //    have produced an action).
+        //    nothing about the trace's priority weights.
         let start = actions.len();
-        if state.total_unscheduled_tasks() > 0 {
-            fair_fill_alive_into(state, budget, false, &mut self.fill_scratch, actions);
-        }
+        fair_fill_alive_into(state, budget, false, &mut self.fill_scratch, actions);
         let launched = actions.len() - start;
         budget -= launched.min(budget);
         if budget == 0 {

@@ -50,41 +50,6 @@ pub fn epsilon_fraction_shares(
     total_machines: usize,
     epsilon: f64,
 ) -> Vec<MachineShare> {
-    let mut shares = Vec::with_capacity(jobs.len());
-    epsilon_fraction_shares_into(jobs, total_machines, epsilon, &mut shares);
-    shares
-}
-
-/// Like [`epsilon_fraction_shares`], but writes the result into a
-/// caller-provided buffer (cleared first) so per-decision schedulers can
-/// reuse the allocation across wakeups.
-///
-/// # Panics
-/// Panics if `epsilon` is not in `(0, 1]` or any weight is not positive.
-pub fn epsilon_fraction_shares_into(
-    jobs: &[(JobId, f64)],
-    total_machines: usize,
-    epsilon: f64,
-    shares: &mut Vec<MachineShare>,
-) {
-    let mut scratch = Vec::new();
-    epsilon_fraction_shares_scratch(jobs, total_machines, epsilon, shares, &mut scratch);
-}
-
-/// Fully allocation-free variant of [`epsilon_fraction_shares_into`]: the
-/// rounding's eligible-remainder working set also comes from a caller-owned
-/// buffer, so a scheduler's decision path performs no heap allocation here
-/// at all.
-///
-/// # Panics
-/// Panics if `epsilon` is not in `(0, 1]` or any weight is not positive.
-pub fn epsilon_fraction_shares_scratch(
-    jobs: &[(JobId, f64)],
-    total_machines: usize,
-    epsilon: f64,
-    shares: &mut Vec<MachineShare>,
-    scratch: &mut Vec<(f64, usize)>,
-) {
     assert!(
         epsilon > 0.0 && epsilon <= 1.0,
         "epsilon must be in (0, 1], got {epsilon}"
@@ -93,20 +58,22 @@ pub fn epsilon_fraction_shares_scratch(
         jobs.iter().all(|(_, w)| *w > 0.0),
         "job weights must be positive"
     );
-    shares.clear();
     if jobs.is_empty() || total_machines == 0 {
-        shares.extend(jobs.iter().map(|&(job, _)| MachineShare {
-            job,
-            fractional: 0.0,
-            machines: 0,
-        }));
-        return;
+        return jobs
+            .iter()
+            .map(|&(job, _)| MachineShare {
+                job,
+                fractional: 0.0,
+                machines: 0,
+            })
+            .collect();
     }
 
     let total_weight: f64 = jobs.iter().map(|(_, w)| w).sum();
     let m = total_machines as f64;
     let threshold = (1.0 - epsilon) * total_weight;
 
+    let mut shares = Vec::with_capacity(jobs.len());
     // W_i(l): cumulative weight of jobs with priority <= job i (including i).
     // Jobs are sorted by decreasing priority, so this is the weight of the
     // suffix starting at i.
@@ -128,10 +95,11 @@ pub fn epsilon_fraction_shares_scratch(
         suffix_weight -= weight;
     }
 
-    largest_remainder_round(shares, total_machines, scratch);
+    largest_remainder_round(&mut shares, total_machines, &mut Vec::new());
+    shares
 }
 
-/// Prefix-truncated variant of [`epsilon_fraction_shares_scratch`] for
+/// Prefix-truncated variant of [`epsilon_fraction_shares`] for
 /// callers that know `W(l)` up front: only the jobs inside the ε-fraction
 /// are pulled from the iterator and materialised.
 ///

@@ -25,11 +25,9 @@
 //! the paper's evaluation (Fig. 1). Cloning can be disabled for ablations.
 
 use crate::priority::online_priority;
-use crate::sharing::{
-    epsilon_fraction_shares_prefix_into, epsilon_fraction_shares_scratch, MachineShare,
-};
+use crate::sharing::{epsilon_fraction_shares_prefix_into, MachineShare};
 use mapreduce_sim::{Action, ClusterState, JobState, Scheduler};
-use mapreduce_workload::{JobId, Phase, TaskId};
+use mapreduce_workload::{Phase, TaskId};
 
 /// Configuration of the SRPTMS+C scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,8 +133,10 @@ impl Default for SrptMsCConfig {
 pub struct SrptMsC {
     config: SrptMsCConfig,
     name: String,
-    /// Scratch: `(id, weight)` of the candidates in priority order.
-    ranked: Vec<(JobId, f64)>,
+    /// Scratch: the candidates read this decision, in priority order — the
+    /// job indices the share walk pulled from the ranked order, or the
+    /// priority-sorted alive positions of a hand-built snapshot.
+    order: Vec<usize>,
     /// Scratch: the ε-fraction shares, one per candidate.
     shares: Vec<MachineShare>,
     /// Scratch: the rounding's eligible-remainder working set.
@@ -167,7 +167,7 @@ impl SrptMsC {
         SrptMsC {
             config,
             name,
-            ranked: Vec::new(),
+            order: Vec::new(),
             shares: Vec::new(),
             round_scratch: Vec::new(),
             launched_prefix: Vec::new(),
@@ -267,8 +267,13 @@ impl Scheduler for SrptMsC {
     }
 
     fn schedule_into(&mut self, state: &ClusterState<'_>, actions: &mut Vec<Action>) {
+        // Both passes below launch only launchable unscheduled tasks, so an
+        // instant with no free machine or nothing launchable is a no-op:
+        // return before touching the ranked order (`O(1)` on engine-built
+        // snapshots). `launchable_left` then counts down as tasks launch.
         let mut available = state.available_machines();
-        if available == 0 {
+        let mut launchable_left = state.total_launchable_tasks();
+        if available == 0 || launchable_left == 0 {
             return;
         }
 
@@ -276,76 +281,72 @@ impl Scheduler for SrptMsC {
         // decreasing w_i / U_i(l), ties by id. Engine-built snapshots carry
         // the order as a demand-gated view (only the prefix the passes below
         // actually read gets sorted); hand-built snapshots fall back to
-        // collecting and sorting.
+        // sorting the alive positions into `order`.
         let entries = state.ranked_entries(self.config.r);
-        let fallback: Vec<&JobState> = match entries {
-            Some(_) => Vec::new(),
-            None => {
-                let mut c: Vec<&JobState> = state
-                    .alive_jobs()
-                    .filter(|j| j.total_unscheduled() > 0)
-                    .collect();
-                c.sort_by(|a, b| {
-                    let pa = online_priority(a, self.config.r);
-                    let pb = online_priority(b, self.config.r);
-                    pb.total_cmp(&pa).then_with(|| a.id().cmp(&b.id()))
-                });
-                c
-            }
-        };
-        let candidate = |i: usize| match entries {
-            Some(e) => state.job_at(e.entry(i).1),
-            None => fallback[i],
-        };
-        let num_candidates = entries.map_or(fallback.len(), |e| e.len());
+        self.order.clear();
+        if entries.is_none() {
+            let r = self.config.r;
+            self.order.extend(
+                (0..state.num_alive_jobs())
+                    .filter(|&p| state.alive_job_at(p).total_unscheduled() > 0),
+            );
+            self.order.sort_by(|&a, &b| {
+                let (a, b) = (state.alive_job_at(a), state.alive_job_at(b));
+                let (pa, pb) = (online_priority(a, r), online_priority(b, r));
+                pb.total_cmp(&pa).then_with(|| a.id().cmp(&b.id()))
+            });
+        }
+        let num_candidates = entries.map_or(self.order.len(), |e| e.len());
         if num_candidates == 0 {
             return;
         }
 
+        // Prefix-truncated walk: the ε-fraction rule zeroes every share past
+        // the `(1−ε)·W(l)` cumulative-weight boundary, so only the jobs
+        // inside the boundary are pulled from the order — `O(prefix)` job
+        // derefs instead of `O(alive)`. `W(l)` is the engine's incrementally
+        // maintained unscheduled-weight aggregate (exact for the
+        // integer-valued job weights every committed workload uses, hence
+        // bit-identical to the full walk's fold), or the fold itself for a
+        // hand-built snapshot. Every job pulled from the ranked order is
+        // stashed in `order`, so the passes below read the prefix once.
         let config = self.config;
-        match entries {
-            // Prefix-truncated walk: the ε-fraction rule zeroes every share
-            // past the `(1−ε)·W(l)` cumulative-weight boundary, so only the
-            // jobs inside the boundary are pulled from the ranked order —
-            // `O(prefix)` job derefs instead of `O(alive)`. `W(l)` is the
-            // engine's incrementally maintained unscheduled-weight aggregate
-            // (exact for the integer-valued job weights every committed
-            // workload uses, hence bit-identical to the full walk's fold).
-            Some(e) => epsilon_fraction_shares_prefix_into(
-                e.iter().map(|(_, idx)| {
-                    let job = state.job_at(idx);
-                    (job.id(), job.weight())
-                }),
-                state.total_unscheduled_weight(),
-                state.total_machines(),
-                config.epsilon,
-                &mut self.shares,
-                &mut self.round_scratch,
-            ),
-            // Hand-built snapshots carry no aggregate: materialise the whole
-            // candidate list and run the full walk.
-            None => {
-                self.ranked.clear();
-                self.ranked.extend((0..num_candidates).map(|i| {
-                    let job = candidate(i);
-                    (job.id(), job.weight())
-                }));
-                epsilon_fraction_shares_scratch(
-                    &self.ranked,
-                    state.total_machines(),
-                    config.epsilon,
-                    &mut self.shares,
-                    &mut self.round_scratch,
-                );
-            }
-        }
+        let total_weight = match entries {
+            Some(_) => state.total_unscheduled_weight(),
+            None => self
+                .order
+                .iter()
+                .map(|&p| state.alive_job_at(p).weight())
+                .sum(),
+        };
+        let order = &mut self.order;
+        epsilon_fraction_shares_prefix_into(
+            (0..num_candidates).map(|i| {
+                let job = match entries {
+                    Some(e) => {
+                        let idx = e.entry(i).1;
+                        order.push(idx);
+                        state.job_at(idx)
+                    }
+                    None => state.alive_job_at(order[i]),
+                };
+                (job.id(), job.weight())
+            }),
+            total_weight,
+            state.total_machines(),
+            config.epsilon,
+            &mut self.shares,
+            &mut self.round_scratch,
+        );
         state.note_ranked_prefix(self.shares.len());
 
-        // Launchable tasks not yet launched this decision: the ε-pass and
-        // the backfill only ever launch launchable unscheduled tasks, so
-        // counting launches against the O(1) aggregate tells both passes
-        // when nothing launchable remains anywhere.
-        let mut launchable_left = state.total_launchable_tasks();
+        // Only a backfill that runs past the stashed prefix reads the ranked
+        // order again.
+        let order = &self.order;
+        let candidate = |i: usize| match entries {
+            Some(e) => state.job_at(order.get(i).copied().unwrap_or_else(|| e.entry(i).1)),
+            None => state.alive_job_at(order[i]),
+        };
 
         self.launched_prefix.clear();
         self.launched_prefix.resize(self.shares.len(), 0);
@@ -386,11 +387,8 @@ impl Scheduler for SrptMsC {
         if config.work_conserving && available > 0 {
             // `launched_prefix` only covers the ε-fraction prefix; every
             // candidate past it got nothing in the ε-pass (skip = 0). Both
-            // early exits are action-neutral: with no launchable task left,
-            // every remaining candidate's `unscheduled[skip..]` launchable
-            // slice is empty, and with no machine left no launch can follow —
-            // the old code kept scanning only to discover the same, which
-            // would force the demand-gated order to materialise in full.
+            // early exits are action-neutral (nothing launchable or no
+            // machine left) and keep the backfill from walking the order.
             'backfill: for i in 0..num_candidates {
                 if launchable_left == 0 || available == 0 {
                     break;
@@ -425,7 +423,7 @@ mod tests {
     use super::*;
     use mapreduce_sim::{SimConfig, Simulation};
     use mapreduce_workload::{
-        DurationDistribution, JobSpecBuilder, PhaseStats, Trace, WorkloadBuilder,
+        DurationDistribution, JobId, JobSpecBuilder, PhaseStats, Trace, WorkloadBuilder,
     };
 
     fn run(trace: &Trace, machines: usize, scheduler: &mut SrptMsC) -> mapreduce_sim::SimOutcome {

@@ -694,6 +694,22 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_get_an_error_and_serving_continues() {
+        // 200 KB of `[`, well under the default line cap: the parser must
+        // refuse it by depth rather than recurse until the stack overflows.
+        let server = server();
+        let input = format!("{}\n{{\"cmd\":\"stats\"}}\n", "[".repeat(200 * 1024));
+        let (lines, stats) = session(&server, &input);
+        assert_eq!(lines.len(), 2);
+        assert_eq!((stats.errors, stats.requests), (1, 1));
+        assert_eq!(lines[0].field("ok").unwrap().as_bool(), Some(false));
+        let message = lines[0].field("error").unwrap().as_str().unwrap();
+        assert!(message.contains("nesting deeper than"), "got {message}");
+        assert_eq!(lines[1].field("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(lines[1].field("cmd").unwrap().as_str(), Some("stats"));
+    }
+
+    #[test]
     fn degenerate_sweeps_get_error_lines_not_crashes() {
         let server = server();
         // Empty seeds, empty scheduler list, zero machines: all well-formed

@@ -17,7 +17,7 @@
 //! engine pulls jobs in arrival order ([`Simulation::from_source`]) and
 //! releases each job's task storage at completion, so runs are bounded by
 //! the alive window rather than the workload size — see
-//! [`engine`](crate::engine) for the admission/trajectory guarantees.
+//! [`engine`] for the admission/trajectory guarantees.
 //!
 //! # Event path
 //!
@@ -52,11 +52,11 @@
 //! * per-job, per-phase **completed-duration aggregates**
 //!   ([`JobState::mean_completed_duration`]) so restart-time estimates
 //!   (`t_new`) are `O(1)`;
-//! * an [`AliveIndex`] over the alive jobs carrying the weight/unscheduled
-//!   aggregates, an **arrival order** for the FIFO family, and an optional
-//!   **priority order** (decreasing `w_i / U_i(l)`, batched per decision
-//!   instant) that a scheduler opts into via [`Scheduler::priority_r`] and
-//!   consumes through [`ClusterState::ranked_entries`].
+//! * an [`AliveIndex`] over the alive jobs carrying the weight and
+//!   launchable-task aggregates, an **arrival order** for the FIFO family,
+//!   and an optional **priority order** (decreasing `w_i / U_i(l)`) that a
+//!   scheduler opts into via [`Scheduler::priority_r`] and consumes through
+//!   [`ClusterState::ranked_entries`].
 //!
 //! The running free-list and the running-by-finish order are maintained only
 //! for schedulers that declare them through [`Scheduler::index_demands`] —

@@ -988,7 +988,7 @@ impl PriorityIndex {
 /// entries of the alive jobs with unscheduled tasks, in decreasing
 /// `w_i / U_i(l)` order (ties by ascending idx).
 ///
-/// Reads are lazy — [`RankedEntries::entry`] pops the underlying stamp heap
+/// Reads are lazy — [`RankedEntries::entry`] walks the underlying `BTreeSet`
 /// only as far into the order as is actually consumed, which is what makes
 /// SRPTMS+C's decision path pay-for-what-you-read at million-job scale. The
 /// visible order is entry-for-entry identical to a full sort; indices
@@ -1039,9 +1039,9 @@ impl<'a> RankedEntries<'a> {
 /// arrival, completion and first task launch instead, so constructing a
 /// [`ClusterState`] is `O(1)`.
 ///
-/// Besides the id-ordered alive set and the weight/unscheduled aggregates,
-/// the index maintains two derived orders so schedulers never sort per
-/// wakeup:
+/// Besides the id-ordered alive set and the weight and launchable-task
+/// aggregates, the index maintains two derived orders so schedulers never
+/// sort per wakeup:
 /// * an **arrival order** (`(arrival, idx)` ascending) consumed by the FIFO
 ///   family, and
 /// * an optional **priority order** (decreasing `w_i / U_i(l)`, enabled via
@@ -1055,8 +1055,6 @@ pub struct AliveIndex {
     by_arrival: Vec<(Slot, usize)>,
     /// Sum of the weights of the alive jobs (`W(l)`).
     weight_sum: f64,
-    /// Total number of unscheduled tasks across alive jobs.
-    unscheduled_sum: usize,
     /// Sum of the weights of the alive jobs that still have unscheduled
     /// tasks — `W(l)` over `ψ^s(l)`, the candidate set of the ε-fraction
     /// rule. Maintained in `O(1)`: added on arrival, subtracted when the
@@ -1068,10 +1066,10 @@ pub struct AliveIndex {
     /// once per job.
     weight_counted: Vec<bool>,
     /// Per-job cached [`JobState::launchable_unscheduled`] counts, feeding
-    /// `launchable_sum`. Maintained only while the priority order is enabled
-    /// (its sole consumer is SRPTMS+C's backfill early-exit).
+    /// `launchable_sum`; refreshed at every event that can change one.
     launchable: Vec<usize>,
-    /// Total launchable unscheduled tasks across alive jobs.
+    /// Total launchable unscheduled tasks across alive jobs: zero exactly
+    /// when no scheduler can launch an unscheduled task this instant.
     launchable_sum: usize,
     /// Priority order, present when enabled.
     priority: Option<PriorityIndex>,
@@ -1097,7 +1095,6 @@ impl AliveIndex {
         if let Err(pos) = self.alive.binary_search(&idx) {
             self.alive.insert(pos, idx);
             self.weight_sum += job.weight();
-            self.unscheduled_sum += job.total_unscheduled();
             if job.total_unscheduled() > 0 {
                 if self.weight_counted.len() <= idx {
                     self.weight_counted.resize(idx + 1, false);
@@ -1111,8 +1108,8 @@ impl AliveIndex {
             }
             if let Some(priority) = &mut self.priority {
                 priority.insert(idx, job);
-                self.refresh_launchable(idx, job);
             }
+            self.refresh_launchable(idx, job);
         }
     }
 
@@ -1134,20 +1131,19 @@ impl AliveIndex {
             }
             if let Some(priority) = &mut self.priority {
                 priority.remove(idx);
-                if let Some(cached) = self.launchable.get_mut(idx) {
-                    self.launchable_sum -= *cached;
-                    *cached = 0;
-                }
+            }
+            if let Some(cached) = self.launchable.get_mut(idx) {
+                self.launchable_sum -= *cached;
+                *cached = 0;
             }
         }
     }
 
     /// Records the first launch of one previously unscheduled task of job
-    /// `idx`; call *after* the job's own counters have been updated. `O(1)` —
-    /// the priority order itself is refreshed by [`AliveIndex::flush_priority`]
-    /// once per decision instant.
+    /// `idx`; call *after* the job's own counters have been updated. The
+    /// aggregates update in `O(1)`; an enabled priority order re-keys the job
+    /// at once, an `O(log n)` remove and insert.
     pub fn note_first_launch(&mut self, idx: usize, job: &JobState) {
-        self.unscheduled_sum = self.unscheduled_sum.saturating_sub(1);
         if job.total_unscheduled() == 0 && self.weight_counted.get(idx).copied().unwrap_or(false) {
             // Last unscheduled task launched: the job leaves ψ^s(l) for good.
             self.weight_counted[idx] = false;
@@ -1155,17 +1151,16 @@ impl AliveIndex {
         }
         if let Some(priority) = &mut self.priority {
             priority.update(idx, job);
-            self.refresh_launchable(idx, job);
         }
+        self.refresh_launchable(idx, job);
     }
 
     /// Reverse of [`AliveIndex::note_first_launch`]: a fault returned one
-    /// task of job `idx` to the unscheduled pool. Call *after*
-    /// [`JobState::note_task_unlaunched`] updated the job's own counters.
-    /// The job re-enters `ψ^s(l)` (the unscheduled-weight aggregate and, if
-    /// enabled, the priority order) if this was its first unscheduled task.
+    /// task of job `idx` to the unscheduled pool. Call *after* the engine
+    /// updated the job's own counters. The job re-enters `ψ^s(l)` (the
+    /// unscheduled-weight aggregate and, if enabled, the priority order) if
+    /// this was its first unscheduled task.
     pub fn note_task_unlaunched(&mut self, idx: usize, job: &JobState) {
-        self.unscheduled_sum += 1;
         if job.total_unscheduled() > 0 && !self.weight_counted.get(idx).copied().unwrap_or(false) {
             if self.weight_counted.len() <= idx {
                 self.weight_counted.resize(idx + 1, false);
@@ -1181,17 +1176,15 @@ impl AliveIndex {
             } else {
                 priority.update(idx, job);
             }
-            self.refresh_launchable(idx, job);
         }
+        self.refresh_launchable(idx, job);
     }
 
     /// Records that job `idx`'s map phase just completed (its unscheduled
     /// reduce tasks became launchable); call from the engine's copy-finish
-    /// path. `O(1)`, idempotent, no-op when priority maintenance is off.
+    /// path. `O(1)` and idempotent.
     pub fn note_map_phase_complete(&mut self, idx: usize, job: &JobState) {
-        if self.priority.is_some() {
-            self.refresh_launchable(idx, job);
-        }
+        self.refresh_launchable(idx, job);
     }
 
     /// Re-caches job `idx`'s launchable-unscheduled count and folds the
@@ -1250,23 +1243,17 @@ impl AliveIndex {
         self.weight_sum
     }
 
-    /// Total number of unscheduled tasks across alive jobs.
-    pub fn total_unscheduled(&self) -> usize {
-        self.unscheduled_sum
-    }
-
     /// Sum of the weights of the alive jobs that still have unscheduled
     /// tasks — the `W(l)` the ε-fraction rule normalises by.
     pub fn total_unscheduled_weight(&self) -> f64 {
         self.unscheduled_weight_sum
     }
 
-    /// Total launchable unscheduled tasks across alive jobs, when the index
-    /// maintains the aggregate (priority order enabled); `None` otherwise.
-    /// Requires the engine to report map-phase completions through
+    /// Total launchable unscheduled tasks across alive jobs. Requires the
+    /// engine to report map-phase completions through
     /// [`AliveIndex::note_map_phase_complete`].
-    pub fn total_launchable(&self) -> Option<usize> {
-        self.priority.as_ref().map(|_| self.launchable_sum)
+    pub fn total_launchable(&self) -> usize {
+        self.launchable_sum
     }
 }
 
@@ -1284,12 +1271,11 @@ pub struct ClusterState<'a> {
     /// Aggregates carried over from an [`AliveIndex`], when the snapshot was
     /// built incrementally by the engine. `None` for hand-built snapshots.
     cached_weight: Option<f64>,
-    cached_unscheduled: Option<usize>,
     /// Incrementally maintained `W(l)` over the jobs with unscheduled tasks,
     /// when index-backed.
     cached_unscheduled_weight: Option<f64>,
     /// Incrementally maintained launchable-unscheduled total, when
-    /// index-backed with the priority order enabled.
+    /// index-backed.
     cached_launchable: Option<usize>,
     /// How many ranked entries the scheduler actually consumed this decision
     /// (reported via [`ClusterState::note_ranked_prefix`]); interior-mutable
@@ -1304,9 +1290,10 @@ pub struct ClusterState<'a> {
 
 impl<'a> ClusterState<'a> {
     /// Builds a snapshot from explicit parts. Aggregates are computed on
-    /// demand by scanning; the engine uses [`ClusterState::from_index`]
-    /// instead. Public so scheduler crates can unit-test their policies
-    /// against hand-crafted states without running a full simulation.
+    /// demand by scanning; engine-built snapshots carry them precomputed
+    /// from the [`AliveIndex`] instead. Public so scheduler crates can
+    /// unit-test their policies against hand-crafted states without running
+    /// a full simulation.
     pub fn new(
         now: Slot,
         total_machines: usize,
@@ -1323,7 +1310,6 @@ impl<'a> ClusterState<'a> {
             alive,
             copies,
             cached_weight: None,
-            cached_unscheduled: None,
             cached_unscheduled_weight: None,
             cached_launchable: None,
             ranked_prefix_consumed: std::cell::Cell::new(0),
@@ -1350,9 +1336,8 @@ impl<'a> ClusterState<'a> {
             alive: index.alive(),
             copies,
             cached_weight: Some(index.total_weight()),
-            cached_unscheduled: Some(index.total_unscheduled()),
             cached_unscheduled_weight: Some(index.total_unscheduled_weight()),
-            cached_launchable: index.total_launchable(),
+            cached_launchable: Some(index.total_launchable()),
             ranked_prefix_consumed: std::cell::Cell::new(0),
             arrival_order: Some(index.alive_by_arrival()),
             ranked: index.ranked_by_priority(),
@@ -1474,16 +1459,6 @@ impl<'a> ClusterState<'a> {
         }
     }
 
-    /// Total number of unscheduled tasks across alive jobs. `O(1)` for
-    /// engine-built snapshots; schedulers can use it to bail out early when
-    /// there is nothing to launch.
-    pub fn total_unscheduled_tasks(&self) -> usize {
-        match self.cached_unscheduled {
-            Some(u) => u,
-            None => self.alive_jobs().map(|j| j.total_unscheduled()).sum(),
-        }
-    }
-
     /// Sum of the weights of the alive jobs that still have unscheduled
     /// tasks — `W(l)` over the ε-fraction rule's candidate set `ψ^s(l)`.
     ///
@@ -1505,12 +1480,12 @@ impl<'a> ClusterState<'a> {
     /// Total launchable unscheduled tasks across alive jobs (unscheduled
     /// maps, plus unscheduled reduces of jobs whose map phase completed).
     ///
-    /// `O(1)` for engine-built snapshots with the priority order enabled
-    /// (maintained incrementally by the [`AliveIndex`]); falls back to a
-    /// scan otherwise. SRPTMS+C's work-conserving backfill counts its
+    /// `O(1)` for engine-built snapshots (maintained incrementally by the
+    /// [`AliveIndex`]); falls back to a scan for hand-built ones. Zero means
+    /// no scheduler can launch an unscheduled task now, so SRPTMS+C and the
+    /// fair fill return at once; SRPTMS+C's backfill also counts its
     /// launches against this total and stops the moment nothing launchable
-    /// remains — without it, every machines-outlast-work instant would walk
-    /// (and therefore fully sort) the entire demand-gated ranked order.
+    /// remains.
     pub fn total_launchable_tasks(&self) -> usize {
         match self.cached_launchable {
             Some(c) => c,
@@ -1520,7 +1495,7 @@ impl<'a> ClusterState<'a> {
 
     /// Reports how many ranked candidates the scheduler materialised this
     /// decision; the engine folds the per-decision maximum into
-    /// [`crate::SimOutcome::ranked_prefix_len_max`]. Schedulers that do not
+    /// [`crate::RunTelemetry::ranked_prefix_len_max`]. Schedulers that do not
     /// consume the ranked order simply never call this.
     pub fn note_ranked_prefix(&self, len: usize) {
         if len > self.ranked_prefix_consumed.get() {
@@ -1886,7 +1861,7 @@ mod tests {
 
     #[test]
     fn alive_index_tracks_arrivals_launches_and_completions() {
-        let jobs = job_bank(&[2, 2, 4, 4], &[1.0, 1.0, 2.0, 2.0], &[0, 9, 5, 5]);
+        let mut jobs = job_bank(&[2, 2, 4, 4], &[1.0, 1.0, 2.0, 2.0], &[0, 9, 5, 5]);
         let mut index = AliveIndex::new();
         assert!(index.is_empty());
         index.insert(3, &jobs[3]);
@@ -1895,18 +1870,20 @@ mod tests {
         assert_eq!(index.alive(), &[1, 3]);
         assert_eq!(index.len(), 2);
         assert!((index.total_weight() - 3.0).abs() < 1e-12);
-        assert_eq!(index.total_unscheduled(), 6);
+        assert_eq!(index.total_launchable(), 6);
         // Arrival order: job 3 arrived at 5, job 1 at 9.
         assert_eq!(index.alive_by_arrival(), &[(5, 3), (9, 1)]);
 
+        jobs[3].note_first_launch(Phase::Map, 0);
         index.note_first_launch(3, &jobs[3]);
-        assert_eq!(index.total_unscheduled(), 5);
+        assert_eq!(index.total_launchable(), 5);
 
         index.remove(1, &jobs[1]);
         index.remove(1, &jobs[1]); // duplicate remove is a no-op
         assert_eq!(index.alive(), &[3]);
         assert_eq!(index.alive_by_arrival(), &[(5, 3)]);
         assert!((index.total_weight() - 2.0).abs() < 1e-12);
+        assert_eq!(index.total_launchable(), 3);
     }
 
     #[test]
@@ -2037,14 +2014,17 @@ mod tests {
         let state = ClusterState::from_index(5, 8, 8, &jobs, &copies, &index);
         assert_eq!(state.num_alive_jobs(), 1);
         assert!((state.total_alive_weight() - jobs[0].weight()).abs() < 1e-12);
-        assert_eq!(state.total_unscheduled_tasks(), 3);
+        assert_eq!(
+            state.total_launchable_tasks(),
+            jobs[0].launchable_unscheduled()
+        );
 
         // Hand-built snapshots fall back to scanning.
         let alive = vec![0usize];
         let scanned = ClusterState::new(5, 8, 8, &jobs, &alive, &copies);
         assert_eq!(
-            scanned.total_unscheduled_tasks(),
-            state.total_unscheduled_tasks()
+            scanned.total_launchable_tasks(),
+            state.total_launchable_tasks()
         );
         assert!((scanned.total_alive_weight() - state.total_alive_weight()).abs() < 1e-12);
         assert_eq!(

@@ -82,6 +82,7 @@ impl JsonValue {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.parse_value()?;
@@ -279,9 +280,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so without a bound a single line of `[`s
+/// overflows the stack; every document this workspace writes nests only a
+/// few levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -314,8 +323,22 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::new(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -669,6 +692,19 @@ mod tests {
         for text in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "not json", "\"abc"] {
             assert!(JsonValue::parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_errors_instead_of_overflowing_the_stack() {
+        for unit in ["[", "{\"a\":"] {
+            let text = unit.repeat(100_000);
+            let err = JsonValue::parse(&text).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        }
+        let limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&limit).is_ok());
+        let over = format!("[{limit}]");
+        assert!(JsonValue::parse(&over).is_err());
     }
 
     #[test]

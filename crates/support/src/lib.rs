@@ -18,7 +18,7 @@
 //! * [`channel`] — bounded SPSC channel on `Mutex`+`Condvar` with
 //!   disconnect-aware blocking send/recv, backing the engine's
 //!   pipeline-parallel run stages (stands in for `crossbeam-channel`).
-//! * [`proptest`] — a miniature property-testing harness with a
+//! * [`proptest`](mod@proptest) — a miniature property-testing harness with a
 //!   `proptest`-flavoured macro surface.
 //! * [`criterion`] — a miniature benchmark harness with a
 //!   Criterion-flavoured API.
